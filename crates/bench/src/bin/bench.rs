@@ -35,6 +35,9 @@
 //! (`measure`, `train`, `serve`, `tier0`, `canary`) — the CI canary-smoke
 //! job benches only the rollout path this way.
 //!
+//! `EMOD_TELEMETRY=FILE` streams the run's spans, counters and events as
+//! JSONL, as it does for `repro`; `emod-trace tree FILE` renders them.
+//!
 //! `--check-speedup X` exits non-zero if the measurement-campaign speedup
 //! falls below `X` — but only when the host has at least 4 cores and the
 //! parallel worker count is at least 4; on smaller hosts (including
@@ -50,6 +53,7 @@ use emod_core::vars::{design_space, encode_point};
 use emod_core::Tier0Config;
 use emod_doe::lhs;
 use emod_models::{Dataset, Regressor};
+use emod_telemetry as telemetry;
 use emod_uarch::UarchConfig;
 use emod_workloads::{InputSet, Workload};
 use rand::rngs::StdRng;
@@ -914,6 +918,7 @@ fn bench_canary(args: &Args) {
 
 fn main() {
     let args = parse_args();
+    telemetry::init_from_env();
     // Bench hygiene: a leftover checkpoint would turn the second campaign
     // into a cache replay, and an installed fault plan would make wall
     // times meaningless.
@@ -953,6 +958,7 @@ fn main() {
                     "bench: FAIL measurement speedup {:.2}x < required {:.2}x at {} threads",
                     measure_speedup, min, args.threads
                 );
+                telemetry::flush();
                 std::process::exit(1);
             }
             println!(
@@ -966,4 +972,5 @@ fn main() {
             );
         }
     }
+    telemetry::flush();
 }

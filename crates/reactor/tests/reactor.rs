@@ -130,8 +130,10 @@ fn waker_interrupts_a_blocked_poll() {
         wait_for(&mut poller, &mut events, 999, Duration::from_secs(5)).expect("waker readiness");
     assert!(ev.readable);
     assert!(start.elapsed() < Duration::from_secs(4));
-    waker.drain();
+    // Join first: the thread's second wake() must land before the drain,
+    // or it re-arms the waker after it.
     handle.join().unwrap();
+    waker.drain();
     // After draining, the waker token goes quiet again.
     poller
         .poll(&mut events, Some(Duration::from_millis(20)))

@@ -11,6 +11,8 @@
 //!
 //! The connection is lazy and re-established per attempt after a transport
 //! error, so a server restart between requests is invisible to the caller.
+//! Each request leaves in one write on a `TCP_NODELAY` stream (the
+//! crate's `wire` module).
 //!
 //! Overload sheds carry a Retry-After-style `"retry_after_ms"` hint sized
 //! to how far past the admission cap the server is; the retry loop folds
@@ -19,9 +21,10 @@
 //! client's optimistic local schedule.
 
 use crate::json::Json;
+use crate::wire;
 use emod_faults as faults;
 use emod_telemetry as telemetry;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -81,13 +84,36 @@ pub fn retry_after_hint(resp: &Json) -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
+/// An open connection: the buffered read half and the write half, kept
+/// for the connection's life.
+#[derive(Debug)]
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn open(addr: &str, timeout: Option<Duration>) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        wire::configure(&stream)?;
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
+        Ok(Conn {
+            writer: stream.try_clone()?,
+            reader: BufReader::new(stream),
+        })
+    }
+}
+
 /// A lazily-connecting, reconnecting, retrying client.
 #[derive(Debug)]
 pub struct Client {
     addr: String,
     policy: RetryPolicy,
     timeout: Option<Duration>,
-    conn: Option<BufReader<TcpStream>>,
+    conn: Option<Conn>,
+    /// Reused request-line buffer (see `wire::write_line`).
+    out: Vec<u8>,
     requests: u64,
 }
 
@@ -100,6 +126,7 @@ impl Client {
             policy: RetryPolicy::default(),
             timeout: None,
             conn: None,
+            out: Vec::new(),
             requests: 0,
         }
     }
@@ -127,24 +154,15 @@ impl Client {
         self
     }
 
-    fn ensure_conn(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(self.timeout)?;
-            stream.set_write_timeout(self.timeout)?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().expect("connection just established"))
-    }
-
     /// One request/reply exchange on the current connection, no retries.
     fn send_once(&mut self, line: &str) -> io::Result<String> {
-        let reader = self.ensure_conn()?;
-        let mut writer = reader.get_ref().try_clone()?;
-        writeln!(writer, "{}", line)?;
-        writer.flush()?;
+        if self.conn.is_none() {
+            self.conn = Some(Conn::open(&self.addr, self.timeout)?);
+        }
+        let conn = self.conn.as_mut().expect("connection just opened");
+        wire::write_line(&mut conn.writer, &mut self.out, line)?;
         let mut reply = String::new();
-        if reader.read_line(&mut reply)? == 0 {
+        if conn.reader.read_line(&mut reply)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection before replying",

@@ -23,7 +23,9 @@
 //! multiplexes thousands of connections onto `EMOD_REACTOR_WORKERS`
 //! handler threads with [`coalesce`]d predict batching and
 //! `EMOD_MODEL_REPLICAS` sharded artifact-cache replicas. Responses are
-//! byte-identical between fronts.
+//! byte-identical between fronts. Both fronts and the [`client`] share
+//! the `wire` helpers: `TCP_NODELAY` on every stream and one write per
+//! message.
 
 #![warn(missing_docs)]
 
@@ -38,6 +40,7 @@ pub mod registry;
 pub mod rollout;
 pub mod server;
 pub mod slo;
+mod wire;
 
 pub use artifact::{ArtifactError, ArtifactMeta, ModelArtifact, FORMAT_VERSION};
 pub use client::{Client, RetryPolicy};

@@ -36,6 +36,7 @@ use crate::server::{
     coalesce_classify, coalesce_predict_values, handle_request_full, Server, ServerState,
     MAX_LINE_BYTES,
 };
+use crate::wire;
 use emod_reactor::{Interest, LineBuffer, Poller, Token, Waker, WriteBuffer};
 use emod_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
@@ -520,7 +521,9 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
                 LISTENER_TOKEN => loop {
                     match server.listener.accept() {
                         Ok((stream, peer)) => {
-                            if stream.set_nonblocking(true).is_err() {
+                            if stream.set_nonblocking(true).is_err()
+                                || wire::configure(&stream).is_err()
+                            {
                                 continue;
                             }
                             telemetry::counter_add("serve.connections", 1);

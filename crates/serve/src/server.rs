@@ -60,6 +60,7 @@ use crate::json::Json;
 use crate::registry::{split_version, version_id, ModelRegistry};
 use crate::rollout::{route_hash, routes_to_canary, RolloutConfig, RolloutPhase, RolloutState};
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
+use crate::wire;
 use emod_compiler::OptConfig;
 use emod_core::model::ModelFamily;
 use emod_core::tune::{reference_configs, search_flags_surrogate};
@@ -69,7 +70,7 @@ use emod_models::Regressor;
 use emod_quality::{disagreement, shadow_verdict, PredictionLog, ShadowRing, ShadowVerdict};
 use emod_telemetry as telemetry;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -825,6 +826,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState, queue_wait_ms: f64)
     // A finite read timeout lets the worker notice shutdown while a client
     // keeps the connection open without sending.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = wire::configure(&stream);
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -848,6 +850,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState, queue_wait_ms: f64)
     let mut requests = 0u64;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
+    let mut out = Vec::new();
     loop {
         // Bound each read: the `take` cap limits bytes per call, and the
         // total-length check below is the authoritative guard (a partial
@@ -865,9 +868,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState, queue_wait_ms: f64)
                             ("bytes", line.len().into()),
                         ],
                     );
-                    let resp = too_large_response();
-                    let _ = writeln!(writer, "{}", resp);
-                    let _ = writer.flush();
+                    let _ = wire::write_line(&mut writer, &mut out, too_large_response());
                     break;
                 }
                 let request = line.trim().to_string();
@@ -881,7 +882,7 @@ fn handle_connection(stream: TcpStream, state: &ServerState, queue_wait_ms: f64)
                 // already-dispatched stream.
                 let wait = if requests == 1 { queue_wait_ms } else { 0.0 };
                 let (response, close) = handle_request_on(state, &conn_id, &request, wait);
-                if writeln!(writer, "{}", response).is_err() || writer.flush().is_err() {
+                if wire::write_line(&mut writer, &mut out, response).is_err() {
                     break;
                 }
                 if close {
