@@ -8,7 +8,7 @@ use emod_core::model::ModelFamily;
 use emod_core::tune::{self, reference_configs};
 use emod_core::vars;
 use emod_models::{Dataset, LinearModel, LinearTerms, Regressor};
-use emod_uarch::{simulate_sampled, SampleConfig, UarchConfig};
+use emod_uarch::{simulate_sampled_many, SampleConfig, UarchConfig};
 use emod_workloads::{InputSet, Workload};
 
 /// Table 1: the compiler flags and heuristics considered for modeling.
@@ -80,14 +80,22 @@ pub fn fig3() -> Vec<(u32, Vec<u64>)> {
         cfg.max_unroll_times = u;
         cfg.max_unrolled_insns = 300;
         let prog = w.program(&cfg, InputSet::Train).unwrap();
-        let mut row = Vec::new();
+        let machines: Vec<UarchConfig> = icaches
+            .iter()
+            .map(|&ic| UarchConfig {
+                il1_size: ic,
+                ..UarchConfig::typical()
+            })
+            .collect();
+        // One emulation of the row's binary drives all five icache sizes.
+        let row: Vec<u64> = simulate_sampled_many(&prog, &machines, &sample)
+            .unwrap()
+            .iter()
+            .map(|res| res.cycles)
+            .collect();
         print!("{:>8}", u);
-        for &ic in &icaches {
-            let mut ua = UarchConfig::typical();
-            ua.il1_size = ic;
-            let res = simulate_sampled(&prog, &ua, &sample).unwrap();
-            print!("{:>12}", res.cycles);
-            row.push(res.cycles);
+        for cycles in &row {
+            print!("{:>12}", cycles);
         }
         println!();
         rows.push((u, row));

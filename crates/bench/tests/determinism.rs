@@ -8,12 +8,13 @@
 //! `EMOD_THREADS`, so every test serializes on one lock and restores the
 //! variable before releasing it.
 
+use emod_compiler::OptConfig;
 use emod_core::builder::BuildConfig;
 use emod_core::measure::{BatchRetry, Measurer, Metric};
 use emod_core::model::{ModelFamily, SurrogateModel};
-use emod_core::tune::search_flags_surrogate;
-use emod_core::vars::design_space;
-use emod_doe::lhs;
+use emod_core::tune::{reference_configs, search_flags_surrogate};
+use emod_core::vars::{design_space, uarch_parameters};
+use emod_doe::{lhs, ParameterSpace};
 use emod_models::{Dataset, Writer};
 use emod_serve::artifact::fnv1a64;
 use emod_uarch::UarchConfig;
@@ -112,6 +113,81 @@ fn checkpoint_bytes_identical_across_worker_counts() {
             ),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A machine sweep of one binary: six distinct configurations at -O2
+/// (the Table 5 platforms and three seeded draws) plus a repeat, and one
+/// -O3 point with a binary of its own. At more than one worker the -O2
+/// points run as lanes of lockstep simulations.
+fn sweep_pairs() -> Vec<(OptConfig, UarchConfig)> {
+    let space = ParameterSpace::new(uarch_parameters());
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut machines: Vec<UarchConfig> = reference_configs().into_iter().map(|(_, c)| c).collect();
+    machines.extend(
+        lhs(&space, 3, &mut rng)
+            .iter()
+            .map(|p| UarchConfig::from_design_values(p)),
+    );
+    machines.push(machines[1].clone());
+    let mut pairs: Vec<(OptConfig, UarchConfig)> =
+        machines.into_iter().map(|m| (OptConfig::o2(), m)).collect();
+    pairs.push((OptConfig::o3(), UarchConfig::typical()));
+    pairs
+}
+
+#[test]
+fn shared_binary_sweep_bit_identical_across_worker_counts() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let w = Workload::by_name("gzip").unwrap();
+    let pairs = sweep_pairs();
+    let mut baseline = None;
+    for threads in THREAD_COUNTS {
+        let dir = std::env::temp_dir().join(format!(
+            "emod-determinism-sweep-{}-{}",
+            std::process::id(),
+            threads
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut m = Measurer::new(w, InputSet::Train, BuildConfig::quick(1).sample);
+        m.attach_checkpoint(&dir);
+        m.set_threads(threads);
+        let values: Vec<u64> = m
+            .try_measure_configs_metric_batch(&pairs, Metric::Cycles, &BatchRetry::single())
+            .into_iter()
+            .map(|r| r.unwrap().to_bits())
+            .collect();
+        let stats = (
+            m.measurement_count(),
+            m.instructions_simulated(),
+            m.rel_error_warning_count(),
+        );
+        drop(m);
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "one checkpoint file per campaign");
+        let bytes = std::fs::read(&files[0]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(stats.0, 7, "7 distinct points -> 7 simulations");
+        assert_eq!(values[6], values[1], "the repeat echoes its original");
+        match &baseline {
+            None => baseline = Some((values, stats, bytes)),
+            Some((v, st, b)) => {
+                assert_eq!(&values, v, "values diverged at EMOD_THREADS={}", threads);
+                assert_eq!(
+                    &stats, st,
+                    "statistics diverged at EMOD_THREADS={}",
+                    threads
+                );
+                assert!(
+                    &bytes == b,
+                    "checkpoint bytes differ at EMOD_THREADS={}",
+                    threads
+                );
+            }
+        }
     }
 }
 

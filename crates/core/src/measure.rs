@@ -16,6 +16,9 @@
 //! bytes and measurer statistics are bit-identical at any worker count —
 //! by planning cache lookups and compilations sequentially, simulating the
 //! (pure) remainder on the pool, and merging results back in design order.
+//! Fresh points that share a binary simulate as lanes of one emulation
+//! ([`emod_uarch::simulate_sampled_many`]), which gives the same bits as
+//! simulating them one by one.
 //!
 //! Tiered measurement (DESIGN.md §13): with `EMOD_TIER0` enabled (or
 //! [`Measurer::set_tier0`] called), cycle measurements route through an
@@ -35,7 +38,10 @@ use emod_faults as faults;
 use emod_isa::Program;
 use emod_telemetry as telemetry;
 use emod_tier0::{Route, StackSample, Tier, Tier0Config, TierRouter};
-use emod_uarch::{simulate, simulate_sampled, CpiStack, PipeStats, SampleConfig, UarchConfig};
+use emod_uarch::{
+    simulate, simulate_sampled, simulate_sampled_many, CpiStack, PipeStats, SampleConfig,
+    SampledResult, UarchConfig,
+};
 use emod_workloads::{InputSet, Workload};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -190,90 +196,234 @@ impl RawMeasurement {
     }
 }
 
-/// Pure measurement kernel: simulates `program` on `uarch` and extracts
-/// `metric`. No `Measurer` state is read or written, so this is safe to
-/// run concurrently for distinct design points.
+/// The pure measurement kernel: everything a simulation of one batch
+/// shares. No `Measurer` state is read or written, so it is safe to run
+/// concurrently for distinct design points.
 ///
 /// `promote_bound` is the tier-2 escalation rule: when set and the sampled
 /// run's 3σ confidence half-width on a cycles measurement exceeds it, the
 /// point is re-run under full detailed simulation (exact cycles,
 /// `rel_error` 0) rather than returning a value the campaign cannot trust
 /// to that bound.
-fn simulate_one(
+#[derive(Clone, Copy)]
+struct Kernel {
     workload: &'static Workload,
     set: InputSet,
-    program: &Program,
-    uarch: &UarchConfig,
-    sample: &SampleConfig,
+    sample: SampleConfig,
     metric: Metric,
     promote_bound: Option<f64>,
-) -> Result<RawMeasurement, MeasureError> {
-    if metric == Metric::CodeSize {
-        return Ok(RawMeasurement {
-            value: (program.len() as u64 * emod_isa::INST_BYTES) as f64,
-            rel_error: None,
-            instructions: 0,
-            windows: 0,
-            wall_s: 0.0,
-            cpi: 0.0,
-            pipe: None,
-            tier: 1,
-        });
+}
+
+impl Kernel {
+    /// One attempt at one point: the `sim.run` fault probe, then
+    /// [`Kernel::simulate_one`], both inside a panic guard so injected
+    /// `panic` faults are caught exactly like organic ones.
+    fn attempt(
+        &self,
+        program: &Program,
+        uarch: &UarchConfig,
+    ) -> Result<RawMeasurement, MeasureError> {
+        guarded(|| {
+            probe()?;
+            self.simulate_one(program, uarch)
+        })
     }
-    let expected = workload.reference_checksum(set);
-    let start = std::time::Instant::now();
-    let res =
-        simulate_sampled(program, uarch, sample).map_err(|e| MeasureError::Sim(e.to_string()))?;
-    if res.exit_value != expected {
-        return Err(MeasureError::ChecksumMismatch {
-            workload: workload.name().to_string(),
-            expected,
-            actual: res.exit_value,
-        });
+
+    /// Simulates `program` on `uarch` and extracts the metric. Code size
+    /// is read off the binary without simulation.
+    fn simulate_one(
+        &self,
+        program: &Program,
+        uarch: &UarchConfig,
+    ) -> Result<RawMeasurement, MeasureError> {
+        if self.metric == Metric::CodeSize {
+            return Ok(RawMeasurement {
+                value: (program.len() as u64 * emod_isa::INST_BYTES) as f64,
+                rel_error: None,
+                instructions: 0,
+                windows: 0,
+                wall_s: 0.0,
+                cpi: 0.0,
+                pipe: None,
+                tier: 1,
+            });
+        }
+        let start = std::time::Instant::now();
+        let res = simulate_sampled(program, uarch, &self.sample).map_err(sim_error)?;
+        self.finish_sampled(program, uarch, res, start.elapsed().as_secs_f64())
     }
-    if metric == Metric::Cycles && res.windows > 0 {
-        if let Some(bound) = promote_bound {
-            if res.rel_error > bound {
-                // Tier-2 promotion: the sample cannot certify the bound,
-                // so pay for an exact answer.
-                let full =
-                    simulate(program, uarch).map_err(|e| MeasureError::Sim(e.to_string()))?;
-                let wall_s = start.elapsed().as_secs_f64();
-                if full.exit_value != expected {
-                    return Err(MeasureError::ChecksumMismatch {
-                        workload: workload.name().to_string(),
-                        expected,
-                        actual: full.exit_value,
-                    });
+
+    /// Measures jobs that share `program` as lanes of one lockstep
+    /// simulation (one emulation drives every lane's timing core). Each job
+    /// gets its own fault probe and panic guard, and a job whose first
+    /// attempt fails retries alone through [`Kernel::attempt`] with its own
+    /// backoff seed, exactly as it would have outside the lockstep task.
+    fn lockstep(
+        &self,
+        program: &Program,
+        uarchs: &[&UarchConfig],
+        seeds: &[u64],
+        retry: &BatchRetry,
+    ) -> Vec<Result<RawMeasurement, MeasureError>> {
+        let mut first: Vec<Option<Result<RawMeasurement, MeasureError>>> =
+            uarchs.iter().map(|_| None).collect();
+        let lanes: Vec<usize> = (0..uarchs.len())
+            .filter(|&k| match guarded(probe) {
+                Ok(()) => true,
+                Err(e) => {
+                    first[k] = Some(Err(e));
+                    false
                 }
-                return Ok(RawMeasurement {
-                    value: full.cycles as f64,
-                    rel_error: Some(0.0),
-                    instructions: full.instructions,
-                    windows: res.windows,
-                    wall_s,
-                    cpi: full.cpi(),
-                    pipe: Some(full.pipe),
-                    tier: 2,
-                });
+            })
+            .collect();
+        let cfgs: Vec<UarchConfig> = lanes.iter().map(|&k| uarchs[k].clone()).collect();
+        let start = std::time::Instant::now();
+        match faults::catch_panic(|| simulate_sampled_many(program, &cfgs, &self.sample)) {
+            Ok(Ok(results)) => {
+                let share = start.elapsed().as_secs_f64() / lanes.len().max(1) as f64;
+                for (&k, res) in lanes.iter().zip(results) {
+                    first[k] = Some(guarded(|| {
+                        self.finish_sampled(program, uarchs[k], res, share)
+                    }));
+                }
+            }
+            // Emulation faults do not depend on the machine: every lane
+            // would have met the same one alone.
+            Ok(Err(e)) => {
+                for &k in &lanes {
+                    first[k] = Some(Err(sim_error(e.clone())));
+                }
+            }
+            // A panic cannot be pinned on one lane: each lane's first
+            // attempt runs alone, its probe already passed.
+            Err(_) => {
+                for &k in &lanes {
+                    first[k] = Some(guarded(|| self.simulate_one(program, uarchs[k])));
+                }
             }
         }
+        first
+            .into_iter()
+            .enumerate()
+            .map(|(k, mut outcome)| {
+                faults::retry_with_backoff(
+                    retry.attempts.max(1),
+                    retry.base,
+                    retry.max,
+                    seeds[k],
+                    |attempt| match attempt {
+                        0 => outcome.take().expect("every lane has a first attempt"),
+                        _ => self.attempt(program, uarchs[k]),
+                    },
+                )
+            })
+            .collect()
     }
-    let wall_s = start.elapsed().as_secs_f64();
-    Ok(RawMeasurement {
-        value: match metric {
-            Metric::Cycles => res.cycles as f64,
-            Metric::Energy => res.energy,
-            Metric::CodeSize => unreachable!("handled above"),
-        },
-        rel_error: Some(res.rel_error),
-        instructions: res.instructions,
-        windows: res.windows,
-        wall_s,
-        cpi: res.cpi,
-        pipe: Some(res.pipe),
-        tier: 1,
-    })
+
+    /// The part of [`Kernel::simulate_one`] after the sampled run: checks
+    /// the checksum, applies tier-2 promotion and extracts the metric.
+    /// `wall_s` is the wall time charged to the sampled run.
+    fn finish_sampled(
+        &self,
+        program: &Program,
+        uarch: &UarchConfig,
+        res: SampledResult,
+        wall_s: f64,
+    ) -> Result<RawMeasurement, MeasureError> {
+        let workload = self.workload;
+        let expected = workload.reference_checksum(self.set);
+        if res.exit_value != expected {
+            return Err(MeasureError::ChecksumMismatch {
+                workload: workload.name().to_string(),
+                expected,
+                actual: res.exit_value,
+            });
+        }
+        if self.metric == Metric::Cycles && res.windows > 0 {
+            if let Some(bound) = self.promote_bound {
+                if res.rel_error > bound {
+                    // Tier-2 promotion: the sample cannot certify the bound,
+                    // so pay for an exact answer.
+                    let start = std::time::Instant::now();
+                    let full = simulate(program, uarch).map_err(sim_error)?;
+                    let wall_s = wall_s + start.elapsed().as_secs_f64();
+                    if full.exit_value != expected {
+                        return Err(MeasureError::ChecksumMismatch {
+                            workload: workload.name().to_string(),
+                            expected,
+                            actual: full.exit_value,
+                        });
+                    }
+                    return Ok(RawMeasurement {
+                        value: full.cycles as f64,
+                        rel_error: Some(0.0),
+                        instructions: full.instructions,
+                        windows: res.windows,
+                        wall_s,
+                        cpi: full.cpi(),
+                        pipe: Some(full.pipe),
+                        tier: 2,
+                    });
+                }
+            }
+        }
+        Ok(RawMeasurement {
+            value: match self.metric {
+                Metric::Cycles => res.cycles as f64,
+                Metric::Energy => res.energy,
+                Metric::CodeSize => unreachable!("code size is never simulated"),
+            },
+            rel_error: Some(res.rel_error),
+            instructions: res.instructions,
+            windows: res.windows,
+            wall_s,
+            cpi: res.cpi,
+            pipe: Some(res.pipe),
+            tier: 1,
+        })
+    }
+}
+
+/// The `sim.run` fault probe.
+fn probe() -> Result<(), MeasureError> {
+    faults::inject("sim.run").map_err(|e| MeasureError::Injected(e.to_string()))
+}
+
+/// Runs `f` behind the measurement panic guard.
+fn guarded<T>(f: impl FnOnce() -> Result<T, MeasureError>) -> Result<T, MeasureError> {
+    faults::catch_panic(f).unwrap_or_else(|panic_msg| Err(MeasureError::Panicked(panic_msg)))
+}
+
+fn sim_error(e: emod_isa::EmuError) -> MeasureError {
+    MeasureError::Sim(e.to_string())
+}
+
+/// Splits a batch's jobs into lockstep tasks. Jobs group by `binary`
+/// key in first-occurrence order, and each group splits into at most
+/// `threads` contiguous tasks of near-equal size, so one binary swept over
+/// many machines still fills the pool. Returns job indices per task.
+fn lockstep_tasks(binaries: &[&[u64]], threads: usize) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<&[u64], usize> = HashMap::new();
+    for (j, key) in binaries.iter().enumerate() {
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(j);
+    }
+    let mut tasks = Vec::new();
+    for group in groups {
+        let parts = threads.clamp(1, group.len());
+        let (base, extra) = (group.len() / parts, group.len() % parts);
+        let mut rest = &group[..];
+        for p in 0..parts {
+            let (task, tail) = rest.split_at(base + usize::from(p < extra));
+            tasks.push(task.to_vec());
+            rest = tail;
+        }
+    }
+    tasks
 }
 
 /// Measures execution time (in cycles) at design points for one
@@ -321,6 +471,11 @@ impl std::fmt::Debug for Measurer {
 
 fn quantize(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The binary-cache key of a compiler configuration.
+fn binary_key(opt: &OptConfig) -> Vec<u64> {
+    quantize(&opt.to_design_values())
 }
 
 impl Measurer {
@@ -535,7 +690,7 @@ impl Measurer {
 
     /// Compiles (or fetches) the binary for a compiler configuration.
     fn binary(&mut self, opt: &OptConfig) -> &Program {
-        let key = quantize(&opt.to_design_values());
+        let key = binary_key(opt);
         if self.binaries.contains_key(&key) {
             telemetry::counter_add("core.measure.binary_cache.hits", 1);
         } else {
@@ -719,10 +874,16 @@ impl Measurer {
         value
     }
 
-    /// The tier-2 promotion bound [`simulate_one`] should apply: the
-    /// router's error operating point, when tiering is active.
-    fn promote_bound(&self) -> Option<f64> {
-        self.router.as_ref().map(|r| r.config().err_bound)
+    /// The simulation kernel for `metric`. Its tier-2 promotion bound is
+    /// the router's error operating point, when tiering is active.
+    fn kernel(&self, metric: Metric) -> Kernel {
+        Kernel {
+            workload: self.workload,
+            set: self.set,
+            sample: self.sample,
+            metric,
+            promote_bound: self.router.as_ref().map(|r| r.config().err_bound),
+        }
     }
 
     /// Compiles and simulates behind the `sim.run` fault probe and a panic
@@ -734,20 +895,12 @@ impl Measurer {
         uarch: &UarchConfig,
         metric: Metric,
     ) -> Result<RawMeasurement, MeasureError> {
-        let sample = self.sample;
-        let promote = self.promote_bound();
-        let workload = self.workload;
-        let set = self.set;
-        // The probe sits inside the guard so injected `panic` faults are
-        // caught exactly like organic ones.
-        match faults::catch_panic(|| {
-            faults::inject("sim.run").map_err(|e| MeasureError::Injected(e.to_string()))?;
+        let kernel = self.kernel(metric);
+        guarded(|| {
+            probe()?;
             let program = self.binary(opt).clone();
-            simulate_one(workload, set, &program, uarch, &sample, metric, promote)
-        }) {
-            Ok(result) => result,
-            Err(panic_msg) => Err(MeasureError::Panicked(panic_msg)),
-        }
+            kernel.simulate_one(&program, uarch)
+        })
     }
 
     /// Folds one raw (freshly simulated) measurement into the measurer's
@@ -912,6 +1065,8 @@ impl Measurer {
         struct Job {
             orig_index: usize,
             key: Vec<u64>,
+            /// The binary-cache key of the job's compiler configuration.
+            binary: Vec<u64>,
             point: Vec<f64>,
             program: Result<Program, MeasureError>,
             uarch: UarchConfig,
@@ -955,6 +1110,7 @@ impl Measurer {
                 jobs.push(Job {
                     orig_index: i,
                     key,
+                    binary: binary_key(opt),
                     point,
                     program,
                     uarch: uarch.clone(),
@@ -964,46 +1120,77 @@ impl Measurer {
 
         // Phase 2 — simulate (parallel). Only the pure kernel runs on
         // workers; the fault probe and panic guard sit inside each retry
-        // attempt exactly as in the sequential path. Worker spans stitch
+        // attempt exactly as in the sequential path. Jobs that share a
+        // binary run as lanes of lockstep tasks over one emulation each;
+        // a lone job runs the single-point kernel. Worker spans stitch
         // into the caller's trace via its captured context.
-        let workload = self.workload;
-        let set = self.set;
-        let sample = self.sample;
-        let promote = self.promote_bound();
+        let kernel = self.kernel(metric);
+        let tasks = match metric {
+            // Code-size reads simulate nothing, so nothing is shared.
+            Metric::CodeSize => (0..jobs.len()).map(|j| vec![j]).collect(),
+            _ => {
+                let binaries: Vec<&[u64]> = jobs.iter().map(|job| &job.binary[..]).collect();
+                lockstep_tasks(&binaries, self.threads)
+            }
+        };
         let parent = telemetry::current_context();
         let pool = emod_par::Pool::new(self.threads);
-        let results: Vec<Result<RawMeasurement, MeasureError>> = pool.map_with(
-            &jobs,
+        let task_results: Vec<Vec<Result<RawMeasurement, MeasureError>>> = pool.map_with(
+            &tasks,
             |_worker| {
                 parent
                     .as_ref()
                     .map(|ctx| telemetry::span_in("core.measure.worker", ctx))
             },
-            |_span, _j, job| {
-                let program = job.program.as_ref().map_err(Clone::clone)?;
-                faults::retry_with_backoff(
-                    attempts,
-                    retry.base,
-                    retry.max,
-                    retry.point_seed(job.orig_index),
-                    |_attempt| match faults::catch_panic(|| {
-                        faults::inject("sim.run")
-                            .map_err(|e| MeasureError::Injected(e.to_string()))?;
-                        simulate_one(workload, set, program, &job.uarch, &sample, metric, promote)
-                    }) {
-                        Ok(result) => result,
-                        Err(panic_msg) => Err(MeasureError::Panicked(panic_msg)),
-                    },
-                )
+            |_span, _t, task| {
+                let compiled: Vec<&Job> = task
+                    .iter()
+                    .map(|&j| &jobs[j])
+                    .filter(|job| job.program.is_ok())
+                    .collect();
+                let mut lanes = match compiled.as_slice() {
+                    [] => Vec::new(),
+                    [job] => {
+                        let program = job.program.as_ref().expect("filtered on Ok");
+                        vec![faults::retry_with_backoff(
+                            attempts,
+                            retry.base,
+                            retry.max,
+                            retry.point_seed(job.orig_index),
+                            |_attempt| kernel.attempt(program, &job.uarch),
+                        )]
+                    }
+                    [job, ..] => {
+                        let program = job.program.as_ref().expect("filtered on Ok");
+                        let uarchs: Vec<&UarchConfig> = compiled.iter().map(|j| &j.uarch).collect();
+                        let seeds: Vec<u64> = compiled
+                            .iter()
+                            .map(|j| retry.point_seed(j.orig_index))
+                            .collect();
+                        kernel.lockstep(program, &uarchs, &seeds, retry)
+                    }
+                }
+                .into_iter();
+                task.iter()
+                    .map(|&j| match &jobs[j].program {
+                        Ok(_) => lanes.next().expect("one outcome per compiled job"),
+                        Err(e) => Err(e.clone()),
+                    })
+                    .collect()
             },
         );
+        let mut results: Vec<Option<Result<RawMeasurement, MeasureError>>> =
+            jobs.iter().map(|_| None).collect();
+        for (task, outcomes) in tasks.iter().zip(task_results) {
+            for (&j, outcome) in task.iter().zip(outcomes) {
+                results[j] = Some(outcome);
+            }
+        }
 
         // Phase 3 — merge (sequential, caller thread, design order, each
         // job at its first occurrence): statistics, response cache, router
         // training and checkpoint update exactly as a sequential loop over
         // the batch would have updated them.
-        let mut results: Vec<Option<Result<RawMeasurement, MeasureError>>> =
-            results.into_iter().map(Some).collect();
         let mut job_values: Vec<Option<Result<f64, MeasureError>>> = vec![None; jobs.len()];
         for (i, plan) in plans.iter().enumerate() {
             match plan {

@@ -36,7 +36,10 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // each set: tags in LRU order (front = MRU)
+    /// `sets × assoc` tag slots, one contiguous slice per set in LRU order
+    /// (front = MRU). A slot stores `tag + 1`, so the zero-initialised
+    /// array starts empty and no real tag ever matches an empty way.
+    tags: Vec<u64>,
     assoc: usize,
     set_shift: u32,
     set_mask: u64,
@@ -57,7 +60,7 @@ impl Cache {
         let sets = (lines / assoc as u64).max(1);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            sets: vec![Vec::with_capacity(assoc as usize); sets as usize],
+            tags: vec![0; (sets * assoc as u64) as usize],
             assoc: assoc as usize,
             set_shift: line.trailing_zeros(),
             set_mask: sets - 1,
@@ -66,27 +69,27 @@ impl Cache {
         }
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The set's slot slice start and the stored (`tag + 1`) form of
+    /// `addr`'s tag. Tags are at most 58 bits wide, so `+ 1` never wraps.
+    fn slot_and_tag(&self, addr: u64) -> (usize, u64) {
         let set = ((addr >> self.set_shift) & self.set_mask) as usize;
-        let tag = addr >> self.line_shift;
-        (set, tag)
+        (set * self.assoc, (addr >> self.line_shift) + 1)
     }
 
     /// Accesses `addr`; returns whether it hit. Updates LRU state and
     /// allocates on miss.
     pub fn access(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let (start, tag) = self.slot_and_tag(addr);
+        let ways = &mut self.tags[start..start + self.assoc];
         if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+            ways[..=pos].rotate_right(1);
             self.stats.hits += 1;
             true
         } else {
-            if ways.len() == self.assoc {
-                ways.pop();
-            }
-            ways.insert(0, tag);
+            // Empty slots sit behind the resident tags, so the last slot
+            // is either free or the LRU victim.
+            ways.rotate_right(1);
+            ways[0] = tag;
             self.stats.misses += 1;
             false
         }
@@ -94,8 +97,8 @@ impl Cache {
 
     /// Whether `addr` is resident, without updating any state.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].contains(&tag)
+        let (start, tag) = self.slot_and_tag(addr);
+        self.tags[start..start + self.assoc].contains(&tag)
     }
 
     /// Accumulated statistics.
@@ -182,6 +185,91 @@ mod tests {
         assert!(large.stats().hits > small.stats().hits);
         assert!(small.stats().miss_rate() > 0.9);
         assert!(large.stats().miss_rate() < 0.6);
+    }
+
+    /// The reference model: one `Vec` per set holding tags in LRU order.
+    struct NaiveLru {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        line: u64,
+    }
+
+    impl NaiveLru {
+        fn new(size: u64, assoc: u32, line: u64) -> Self {
+            let sets = (size / line / assoc as u64).max(1) as usize;
+            NaiveLru {
+                sets: vec![Vec::new(); sets],
+                assoc: assoc as usize,
+                line,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let block = addr / self.line;
+            let n = self.sets.len() as u64;
+            let (set, tag) = ((block % n) as usize, block / n);
+            let ways = &mut self.sets[set];
+            let hit = match ways.iter().position(|&t| t == tag) {
+                Some(pos) => {
+                    ways.remove(pos);
+                    true
+                }
+                None => {
+                    ways.truncate(self.assoc - 1);
+                    false
+                }
+            };
+            ways.insert(0, tag);
+            hit
+        }
+    }
+
+    fn assert_matches_naive(size: u64, assoc: u32, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut flat = Cache::new(size, assoc, 64);
+        let mut naive = NaiveLru::new(size, assoc, 64);
+        // A footprint of four cache capacities keeps both hits and
+        // evictions frequent.
+        for i in 0..20_000 {
+            let addr = rng.gen_range(0..4 * size);
+            assert_eq!(
+                flat.access(addr),
+                naive.access(addr),
+                "access {} to {:#x} (size {}, assoc {})",
+                i,
+                addr,
+                size,
+                assoc
+            );
+            let other = rng.gen_range(0..4 * size);
+            let block = other / 64;
+            let n = naive.sets.len() as u64;
+            let resident = naive.sets[(block % n) as usize].contains(&(block / n));
+            assert_eq!(flat.probe(other), resident);
+        }
+        let s = flat.stats();
+        assert!(s.hits > 0 && s.misses > 0, "{:?}", s);
+    }
+
+    #[test]
+    fn flat_lru_matches_naive_model() {
+        for (assoc, seed) in [(1, 11), (2, 12), (8, 13)] {
+            assert_matches_naive(8 * 1024, assoc, seed);
+        }
+        // One fully associative set.
+        assert_matches_naive(16 * 64, 16, 14);
+    }
+
+    #[test]
+    fn cold_access_to_address_zero_misses() {
+        for assoc in [1, 2, 8] {
+            let mut c = Cache::new(4096, assoc, 64);
+            assert!(!c.probe(0), "an empty way must not hold tag 0");
+            assert!(!c.access(0), "cold access to 0 must miss");
+            assert!(c.access(0));
+        }
     }
 
     #[test]

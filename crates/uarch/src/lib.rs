@@ -47,7 +47,7 @@ pub use cache::{Cache, CacheStats};
 pub use config::{FuPoolConfig, UarchConfig};
 pub use core::{energy_cost, op_energy, Core, CpiStack, PipeStats, SimResult};
 pub use memsys::{AccessKind, MemSys};
-pub use smarts::{simulate, simulate_sampled, SampleConfig, SampledResult};
+pub use smarts::{simulate, simulate_sampled, simulate_sampled_many, SampleConfig, SampledResult};
 
 // The measurement pool (`emod-par`) ships simulation inputs to worker
 // threads and results back; this audit pins the whole `simulate_sampled`

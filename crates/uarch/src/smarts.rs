@@ -142,12 +142,19 @@ fn record_core_counters(res: &SimResult) {
     telemetry::observe("uarch.ruu_occupancy", res.pipe.mean_ruu_occupancy());
 }
 
+/// Retired records the emulator produces before every lane consumes them:
+/// enough to amortise switching between lanes, few enough (192 KiB) that
+/// the buffer stays in a mid-level cache while every lane reads it.
+const CHUNK: usize = 4096;
+
 /// Runs a SMARTS-sampled simulation.
 ///
 /// The detailed warm-up before each window re-establishes pipeline and
 /// queue state; caches and the branch predictor stay functionally warm
 /// throughout. Programs shorter than a few sampling units fall back to
 /// fully detailed simulation (exact answer, `rel_error` 0).
+///
+/// This is [`simulate_sampled_many`] with one configuration.
 ///
 /// # Errors
 ///
@@ -157,110 +164,207 @@ pub fn simulate_sampled(
     cfg: &UarchConfig,
     sample: &SampleConfig,
 ) -> Result<SampledResult, EmuError> {
+    let mut results = simulate_sampled_many(program, std::slice::from_ref(cfg), sample)?;
+    Ok(results.pop().expect("one configuration gives one result"))
+}
+
+/// Runs one SMARTS-sampled simulation per configuration over a single
+/// emulation of `program`.
+///
+/// The retired-instruction stream does not depend on the machine, so one
+/// emulator feeds every configuration's timing core (a *lane*). The
+/// emulator fills a fixed-size buffer and each lane consumes the whole
+/// buffer before the next one is emulated. The SMARTS phase of an
+/// instruction depends only on its index, so every lane computes exactly
+/// what [`simulate_sampled`] computes for its configuration alone.
+/// Results come back in configuration order; an empty slice returns an
+/// empty vector without emulating.
+///
+/// # Errors
+///
+/// Propagates architectural faults and fuel exhaustion from the emulator.
+/// These do not depend on the configuration, so they apply to every lane.
+pub fn simulate_sampled_many(
+    program: &Program,
+    cfgs: &[UarchConfig],
+    sample: &SampleConfig,
+) -> Result<Vec<SampledResult>, EmuError> {
+    if cfgs.is_empty() {
+        return Ok(Vec::new());
+    }
     let _span = telemetry::span("uarch.simulate_sampled");
-    let unit = sample.window * sample.interval;
-    // For tiny programs, measure everything.
-    let mut core = Core::new(cfg);
+    let mut lanes: Vec<Lane> = cfgs.iter().map(Lane::new).collect();
     let mut emu = Emulator::new(program);
-
-    let mut window_cpis: Vec<f64> = Vec::new();
-    let mut window_epis: Vec<f64> = Vec::new(); // energy per instruction
+    let mut chunk: Vec<Retired> = Vec::with_capacity(CHUNK);
     let mut executed: u64 = 0;
-    let mut detailed_insts: u64 = 0;
-
-    // Phase machine: within each unit of `unit` instructions, the first
-    // `warmup + window` run detailed, the rest functionally warm.
-    let detailed_span = sample.warmup + sample.window;
-    let mut phase_start_cycles = 0u64;
-    let mut phase_start_insts = 0u64;
-    let mut phase_start_energy = 0.0f64;
-    let mut warm_line = u64::MAX;
-
-    while executed < sample.fuel {
-        let pos_in_unit = executed % unit;
-        let detailed = pos_in_unit < detailed_span;
-        if pos_in_unit == 0 {
-            core.reset_timing();
-        }
-        if pos_in_unit == sample.warmup {
-            phase_start_cycles = core.cycles();
-            phase_start_insts = core.retired();
-            phase_start_energy = core.energy();
-        }
-        let Some(r) = emu.step()? else { break };
-        if detailed {
-            core.step(&r);
-            detailed_insts += 1;
-            if pos_in_unit == sample.warmup + sample.window - 1 {
-                let dcycles = core.cycles() - phase_start_cycles;
-                let dinsts = core.retired() - phase_start_insts;
-                if dinsts > 0 {
-                    window_cpis.push(dcycles as f64 / dinsts as f64);
-                    window_epis.push((core.energy() - phase_start_energy) / dinsts as f64);
-                }
+    while executed < sample.fuel && !emu.halted() {
+        chunk.clear();
+        let budget = (sample.fuel - executed).min(CHUNK as u64) as usize;
+        while chunk.len() < budget {
+            let Some(r) = emu.step()? else { break };
+            chunk.push(r);
+            if emu.halted() {
+                break;
             }
-        } else {
-            warm(&mut core, &r, &mut warm_line);
         }
-        executed += 1;
-        if emu.halted() {
+        if chunk.is_empty() {
             break;
         }
+        for lane in &mut lanes {
+            lane.consume(&chunk, executed, sample);
+        }
+        executed += chunk.len() as u64;
     }
     if !emu.halted() && executed >= sample.fuel {
         return Err(EmuError::OutOfFuel);
     }
+    telemetry::counter_add("uarch.smarts.emulations", 1);
     let exit_value = emu.exit_value();
-
-    if window_cpis.is_empty() {
-        // Too short to complete even one window: everything ran detailed
-        // inside the first unit, so the core clock is the exact answer.
-        let res = SampledResult {
-            cycles: core.cycles(),
-            instructions: executed,
-            cpi: if executed > 0 {
-                core.cycles() as f64 / core.retired().max(1) as f64
-            } else {
-                0.0
-            },
-            rel_error: 0.0,
-            windows: 0,
-            exit_value,
-            energy: core.energy(),
-            pipe: core.pipe_total(),
-        };
-        record_sampled_stats(&res, &core, exit_value, detailed_insts, 0.0);
-        return Ok(res);
-    }
-
-    let n = window_cpis.len() as f64;
-    let mean = window_cpis.iter().sum::<f64>() / n;
-    let var = window_cpis
-        .iter()
-        .map(|c| (c - mean) * (c - mean))
-        .sum::<f64>()
-        / n.max(1.0);
-    let rel_error = if n > 1.0 && mean > 0.0 {
-        3.0 * (var / n).sqrt() / mean
-    } else {
-        1.0
-    };
-    let mean_epi = window_epis.iter().sum::<f64>() / window_epis.len() as f64;
-    let res = SampledResult {
-        cycles: (mean * executed as f64).round() as u64,
-        instructions: executed,
-        cpi: mean,
-        rel_error,
-        windows: window_cpis.len() as u64,
-        exit_value,
-        energy: mean_epi * executed as f64,
-        pipe: core.pipe_total(),
-    };
-    record_sampled_stats(&res, &core, exit_value, detailed_insts, var);
-    Ok(res)
+    Ok(lanes
+        .into_iter()
+        .map(|lane| lane.finish(executed, exit_value))
+        .collect())
 }
 
-/// Records a sampled simulation: SMARTS-level stats (windows, CPI spread,
+/// One configuration's timing state in a sampled run.
+struct Lane {
+    core: Core,
+    window_cpis: Vec<f64>,
+    /// Energy per instruction of each measured window.
+    window_epis: Vec<f64>,
+    detailed_insts: u64,
+    phase_start_cycles: u64,
+    phase_start_insts: u64,
+    phase_start_energy: f64,
+    warm_line: u64,
+}
+
+impl Lane {
+    fn new(cfg: &UarchConfig) -> Self {
+        Lane {
+            core: Core::new(cfg),
+            window_cpis: Vec::new(),
+            window_epis: Vec::new(),
+            detailed_insts: 0,
+            phase_start_cycles: 0,
+            phase_start_insts: 0,
+            phase_start_energy: 0.0,
+            warm_line: u64::MAX,
+        }
+    }
+
+    /// Feeds `records`, whose first element is instruction number `index`,
+    /// through the phase machine: within each unit of `window × interval`
+    /// instructions, the first `warmup + window` run detailed (the last
+    /// `window` of them measured) and the rest functionally warm. The
+    /// records are walked in runs that share one phase, so the modulo is
+    /// taken once per run rather than once per instruction.
+    fn consume(&mut self, mut records: &[Retired], mut index: u64, sample: &SampleConfig) {
+        let unit = sample.window * sample.interval;
+        let detailed_span = sample.warmup + sample.window;
+        while !records.is_empty() {
+            let pos = index % unit;
+            if pos == 0 {
+                self.core.reset_timing();
+            }
+            if pos == sample.warmup {
+                self.phase_start_cycles = self.core.cycles();
+                self.phase_start_insts = self.core.retired();
+                self.phase_start_energy = self.core.energy();
+            }
+            let detailed = pos < detailed_span;
+            let mut end = unit;
+            if pos < sample.warmup {
+                end = end.min(sample.warmup);
+            }
+            if detailed {
+                end = end.min(detailed_span);
+            }
+            let n = (end - pos).min(records.len() as u64);
+            let (run, rest) = records.split_at(n as usize);
+            if detailed {
+                for r in run {
+                    self.core.step(r);
+                }
+                self.detailed_insts += n;
+                if pos + n == detailed_span {
+                    self.close_window();
+                }
+            } else {
+                for r in run {
+                    warm(&mut self.core, r, &mut self.warm_line);
+                }
+            }
+            records = rest;
+            index += n;
+        }
+    }
+
+    /// Records the CPI and energy of the window that just ended.
+    fn close_window(&mut self) {
+        let dcycles = self.core.cycles() - self.phase_start_cycles;
+        let dinsts = self.core.retired() - self.phase_start_insts;
+        if dinsts > 0 {
+            self.window_cpis.push(dcycles as f64 / dinsts as f64);
+            self.window_epis
+                .push((self.core.energy() - self.phase_start_energy) / dinsts as f64);
+        }
+    }
+
+    /// The lane's estimate after `executed` instructions.
+    fn finish(self, executed: u64, exit_value: i64) -> SampledResult {
+        let core = &self.core;
+        if self.window_cpis.is_empty() {
+            // Too short to complete even one window: everything ran detailed
+            // inside the first unit, so the core clock is the exact answer.
+            let res = SampledResult {
+                cycles: core.cycles(),
+                instructions: executed,
+                cpi: if executed > 0 {
+                    core.cycles() as f64 / core.retired().max(1) as f64
+                } else {
+                    0.0
+                },
+                rel_error: 0.0,
+                windows: 0,
+                exit_value,
+                energy: core.energy(),
+                pipe: core.pipe_total(),
+            };
+            record_sampled_stats(&res, core, exit_value, self.detailed_insts, 0.0);
+            return res;
+        }
+
+        let n = self.window_cpis.len() as f64;
+        let mean = self.window_cpis.iter().sum::<f64>() / n;
+        let var = self
+            .window_cpis
+            .iter()
+            .map(|c| (c - mean) * (c - mean))
+            .sum::<f64>()
+            / n.max(1.0);
+        let rel_error = if n > 1.0 && mean > 0.0 {
+            3.0 * (var / n).sqrt() / mean
+        } else {
+            1.0
+        };
+        let mean_epi = self.window_epis.iter().sum::<f64>() / self.window_epis.len() as f64;
+        let res = SampledResult {
+            cycles: (mean * executed as f64).round() as u64,
+            instructions: executed,
+            cpi: mean,
+            rel_error,
+            windows: self.window_cpis.len() as u64,
+            exit_value,
+            energy: mean_epi * executed as f64,
+            pipe: core.pipe_total(),
+        };
+        record_sampled_stats(&res, core, exit_value, self.detailed_insts, var);
+        res
+    }
+}
+
+/// Records one lane of a sampled simulation: SMARTS-level stats (windows, CPI spread,
 /// detailed-vs-functional split) plus the cache/predictor counters the core
 /// kept warm across the whole run. Cold path — once per simulation.
 fn record_sampled_stats(
